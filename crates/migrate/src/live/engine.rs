@@ -495,6 +495,12 @@ where
         (Err((e, _)), _) => return Err(e),
         (_, Err(e)) => return Err(e),
     };
+    // The guest has stopped: every destination write it made, including
+    // those after the protocol threads finished, is in the tracker now.
+    let (new_bm, tracker) = &dst_res.new_bm;
+    dst.disable_tracking();
+    dst.detach_tracker(*tracker);
+    let new_bitmap = new_bm.snapshot();
 
     let outcome = LiveOutcome {
         downtime: dst_res.resumed_at - src_res.suspended_at,
@@ -518,7 +524,7 @@ where
         src_disk: src,
         dst_ram,
         mem_model,
-        new_bitmap: dst_res.new_bitmap,
+        new_bitmap,
         model,
         read_violations,
     };
@@ -627,12 +633,17 @@ fn owed_indices(shipped: &FlatBitmap, got: &FlatBitmap) -> Vec<usize> {
     shipped.iter_set().filter(|&b| !got.get(b)).collect()
 }
 
-fn read_batch(disk: &TrackedDisk, blocks: &[usize], block_size: usize) -> Bytes {
-    let mut payload = Vec::with_capacity(blocks.len() * block_size);
-    for &b in blocks {
-        payload.extend_from_slice(&disk.disk().read_block(b));
+/// Read `blocks` into one contiguous batch buffer: one store read per
+/// block, no per-block allocation.
+fn read_batch(disk: &TrackedDisk, blocks: &[usize], block_size: usize) -> Vec<u8> {
+    let mut payload = vec![0u8; blocks.len() * block_size];
+    for (&b, slot) in blocks
+        .iter()
+        .zip(payload.chunks_exact_mut(block_size.max(1)))
+    {
+        disk.disk().read_block_into(b, slot);
     }
-    Bytes::from(payload)
+    payload
 }
 
 /// Reorder a disk worklist for K parallel logical streams: the block
@@ -741,18 +752,18 @@ fn drain_ref_misses<T: Transport>(
     }
 }
 
-/// Ship a batch of full blocks, compressed when the session negotiated
-/// it and the codec actually wins; returns the payload bytes that
-/// crossed the wire and whether the compressed form was used.
+/// Ship a batch of full blocks, already read into `payload` in `chunk`
+/// order, compressed when the session negotiated it and the codec
+/// actually wins; returns the payload bytes that crossed the wire and
+/// whether the compressed form was used.
 fn send_full_batch<T: Transport>(
     ep: &T,
-    disk: &TrackedDisk,
+    payload: Vec<u8>,
     chunk: &[usize],
     compress: bool,
     block_size: usize,
     phase: &'static str,
 ) -> Result<(u64, bool), SessionError> {
-    let payload = read_batch(disk, chunk, block_size);
     let blocks: Vec<u64> = chunk.iter().map(|&b| b as u64).collect();
     if compress {
         let frames = compress_blocks(&payload, block_size);
@@ -776,8 +787,8 @@ fn send_full_batch<T: Transport>(
         phase,
         MigMessage::DiskBlocks {
             blocks,
-            payload_len: payload.len() as u64,
-            payload: Some(payload),
+            payload_len: sent,
+            payload: Some(Bytes::from(payload)),
         },
     )?;
     Ok((sent, false))
@@ -829,24 +840,33 @@ fn send_disk_worklist<T: Transport>(
                 shipped.set(b);
             }
             ctx.wire.bytes_raw += (chunk.len() * block_size) as u64;
+            // Every block of the chunk is read once, here; the bytes
+            // hashed are the bytes shipped.
+            let mut payload = read_batch(disk, chunk, block_size);
             if ctx.dedup {
                 // Partition the chunk: blocks whose fingerprint the
                 // destination can already resolve become references;
                 // intra-chunk duplicates count too, because the full
-                // batch is flushed first.
+                // batch is flushed first. Full blocks are compacted to
+                // the front of the batch buffer in chunk order.
                 let mut fulls: Vec<usize> = Vec::new();
                 let mut refs: Vec<(u64, u64)> = Vec::new();
-                for &b in chunk {
-                    let fp = hash_block(&disk.disk().read_block(b));
+                for (k, &b) in chunk.iter().enumerate() {
+                    let at = k * block_size;
+                    let fp = hash_block(&payload[at..at + block_size]);
                     if !ctx.force_full.contains(&b) && ctx.known_remote.contains(&fp) {
                         refs.push((b as u64, fp));
                     } else {
                         ctx.known_remote.insert(fp);
+                        if fulls.len() < k {
+                            payload.copy_within(at..at + block_size, fulls.len() * block_size);
+                        }
                         fulls.push(b);
                     }
                 }
+                payload.truncate(fulls.len() * block_size);
                 if !fulls.is_empty() {
-                    match send_full_batch(ep, disk, &fulls, ctx.compress, block_size, phase) {
+                    match send_full_batch(ep, payload, &fulls, ctx.compress, block_size, phase) {
                         Ok((sent, compressed)) => {
                             ctx.wire.bytes_sent += sent;
                             if compressed {
@@ -874,7 +894,7 @@ fn send_disk_worklist<T: Transport>(
                     break Err(e);
                 }
             } else {
-                match send_full_batch(ep, disk, chunk, ctx.compress, block_size, phase) {
+                match send_full_batch(ep, payload, chunk, ctx.compress, block_size, phase) {
                     Ok((sent, compressed)) => {
                         ctx.wire.bytes_sent += sent;
                         if compressed {
@@ -1576,7 +1596,7 @@ fn source_post_copy<T: Transport>(
     // Push continuously, answer pulls preferentially.
     let answer_pull = |st: &mut SourceState, block: u64| -> Result<(), SessionError> {
         let b = block as usize;
-        let payload = read_batch(disk, &[b], cfg.block_size);
+        let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
         st.src_bm.clear(b);
         send_or(
             ep,
@@ -1625,7 +1645,7 @@ fn source_post_copy<T: Transport>(
             Some(b) => {
                 st.src_bm.clear(b);
                 st.cursor = b + 1;
-                let payload = read_batch(disk, &[b], cfg.block_size);
+                let payload = Bytes::from(read_batch(disk, &[b], cfg.block_size));
                 send_or(
                     ep,
                     "post-copy",
@@ -1687,7 +1707,10 @@ struct DestResult {
     dropped: u64,
     stalled_reads: u64,
     resumed_at: Instant,
-    new_bitmap: FlatBitmap,
+    /// The destination guest's new-write tracker, still recording: the
+    /// guest keeps writing until the driver stops, so the bitmap is only
+    /// read (and the tracker detached) after that.
+    new_bm: (Arc<AtomicBitmap>, TrackerHandle),
     ledger: TransferLedger,
     failovers: u32,
     failover_peers: Vec<PeerBytes>,
@@ -1742,7 +1765,7 @@ struct DestState {
     /// Per-peer blocks and bytes applied during failover.
     failover_peers: Vec<PeerBytes>,
     transferred: Option<Arc<AtomicBitmap>>,
-    new_bm: Option<Arc<AtomicBitmap>>,
+    new_bm: Option<(Arc<AtomicBitmap>, TrackerHandle)>,
     dest_io: Option<Arc<DestIo>>,
     pull_tx: Sender<usize>,
     pull_rx: Receiver<usize>,
@@ -1964,7 +1987,6 @@ fn dest_protocol<C: Connector>(
     connector.abort();
     match result {
         Ok(()) => {
-            disk.disable_tracking();
             rec.record(|| Event::PhaseEnd {
                 side: Side::Destination,
                 phase: Phase::PostCopy,
@@ -1980,7 +2002,7 @@ fn dest_protocol<C: Connector>(
                         dropped: st.dropped,
                         stalled_reads,
                         resumed_at,
-                        new_bitmap: new_bm.snapshot(),
+                        new_bm: new_bm.clone(),
                         ledger: std::mem::take(&mut st.ledger),
                         failovers: st.failovers,
                         failover_peers: std::mem::take(&mut st.failover_peers),
@@ -2081,8 +2103,10 @@ fn run_dest_session<T: Transport>(
         // a resumed source re-validates every assumption instead of
         // trusting the previous session's view.
         let mut fps = Vec::with_capacity(cfg.num_blocks);
+        let mut buf = vec![0u8; cfg.block_size];
         for b in 0..cfg.num_blocks {
-            fps.push(hash_block(&disk.disk().read_block(b)));
+            disk.disk().read_block_into(b, &mut buf);
+            fps.push(hash_block(&buf));
         }
         let index = ContentIndex::from_fps(fps);
         send_or(
@@ -2192,8 +2216,9 @@ fn dest_apply_ref<T: Transport>(
     Ok(())
 }
 
-/// Decode a compressed batch back to raw block bytes, validating the
-/// advertised raw length.
+/// Decode a compressed batch back to raw block bytes. The advertised
+/// raw length must be exactly one block per listed block, checked before
+/// anything is decoded, and the decoded bytes must match it.
 fn decode_compressed(
     blocks: &[u64],
     raw_len: u64,
@@ -2201,6 +2226,15 @@ fn decode_compressed(
     block_size: usize,
     phase: &'static str,
 ) -> Result<Bytes, SessionError> {
+    if Some(raw_len) != blocks.len().checked_mul(block_size).map(|n| n as u64) {
+        return Err(protocol_err(
+            phase,
+            format!(
+                "compressed batch declared {raw_len} raw bytes for {} blocks of {block_size}",
+                blocks.len()
+            ),
+        ));
+    }
     let raw = decompress_blocks(payload, blocks.len(), block_size)
         .map_err(|e| protocol_err(phase, format!("undecodable compressed batch: {e:?}")))?;
     if raw.len() as u64 != raw_len {
@@ -2340,7 +2374,7 @@ fn dest_freeze<T: Transport>(
     let transferred = Arc::new(AtomicBitmap::new(cfg.num_blocks));
     transferred.load_from(&transferred_flat);
     let new_bm = Arc::new(AtomicBitmap::new(cfg.num_blocks));
-    disk.attach_tracker(Arc::clone(&new_bm), Some(GUEST));
+    let tracker = disk.attach_tracker(Arc::clone(&new_bm), Some(GUEST));
     disk.enable_tracking();
     st.dest_io = Some(Arc::new(DestIo::new(
         Arc::clone(disk),
@@ -2350,7 +2384,7 @@ fn dest_freeze<T: Transport>(
         Arc::clone(&cfg.telemetry),
     )));
     st.transferred = Some(transferred);
-    st.new_bm = Some(new_bm);
+    st.new_bm = Some((new_bm, tracker));
     st.phase = ResumePhase::PostCopy;
     Ok(())
 }

@@ -121,12 +121,6 @@ impl Writer {
             None => self.u8(0),
         }
     }
-    /// Append one raw block as a self-describing compressed frame
-    /// (smallest of raw/RLE/LZ — see [`lz::compress_block`]).
-    fn compressed_block(&mut self, raw: &[u8]) {
-        let frame = lz::compress_block(raw);
-        self.buf.extend_from_slice(&frame);
-    }
 }
 
 struct Reader<'a> {
@@ -199,16 +193,6 @@ impl<'a> Reader<'a> {
             other => Err(CodecError::Malformed(format!("option tag {other}"))),
         }
     }
-    /// Decode one self-describing compressed block frame in place.
-    /// `max_out` bounds the decompressed size (the negotiated block
-    /// size); a corrupt frame is a typed [`CodecError::Malformed`].
-    fn compressed_block(&mut self, max_out: usize) -> Result<Vec<u8>, CodecError> {
-        let rest = self.buf.get(self.pos..).unwrap_or(&[]);
-        let (out, used) = lz::decompress_block(rest, max_out)
-            .map_err(|e| CodecError::Malformed(e.to_string()))?;
-        self.pos += used;
-        Ok(out)
-    }
     fn finish(self) -> Result<(), CodecError> {
         if self.pos != self.buf.len() {
             return Err(CodecError::Malformed(format!(
@@ -222,37 +206,54 @@ impl<'a> Reader<'a> {
 
 /// Compress a concatenation of equal-sized raw blocks into the payload
 /// of a [`MigMessage::CompressedBlocks`]: one self-describing frame per
-/// block, never more than `raw.len() + blocks * lz::HEADER` bytes.
+/// block, written straight into the payload, never more than
+/// `raw.len() + blocks * lz::HEADER` bytes.
 pub fn compress_blocks(raw: &[u8], block_size: usize) -> Vec<u8> {
     if block_size == 0 {
         return Vec::new();
     }
-    let mut w = Writer {
-        buf: Vec::with_capacity(raw.len() / 2 + lz::HEADER),
-    };
+    let mut out = Vec::with_capacity(raw.len() / 2 + lz::HEADER);
     for b in raw.chunks(block_size) {
-        w.compressed_block(b);
+        lz::compress_into(b, &mut out);
     }
-    w.buf
+    out
 }
 
 /// Decode a [`MigMessage::CompressedBlocks`] payload of `count` frames
 /// back into concatenated raw blocks. Rejects trailing bytes and any
 /// frame decompressing past `block_size`.
+///
+/// `count` comes from the peer, so it is checked against the payload
+/// before anything is reserved: every frame carries at least a
+/// [`lz::HEADER`], and the decoded batch may not exceed [`MAX_FRAME`].
 pub fn decompress_blocks(
     payload: &[u8],
     count: usize,
     block_size: usize,
 ) -> Result<Vec<u8>, CodecError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let mut out = Vec::with_capacity(count * block_size);
-    for _ in 0..count {
-        out.extend_from_slice(&r.compressed_block(block_size)?);
+    if count > payload.len() / lz::HEADER {
+        return Err(CodecError::Malformed(format!(
+            "{count} compressed frames in {} bytes",
+            payload.len()
+        )));
     }
-    r.finish()?;
+    let raw_len = count
+        .checked_mul(block_size)
+        .filter(|&n| n <= MAX_FRAME as usize)
+        .ok_or_else(|| CodecError::Malformed(format!("{count} blocks of {block_size} bytes")))?;
+    let mut out = Vec::with_capacity(raw_len);
+    let mut pos = 0usize;
+    for _ in 0..count {
+        let rest = payload.get(pos..).unwrap_or_default();
+        pos += lz::decompress_into(rest, block_size, &mut out)
+            .map_err(|e| CodecError::Malformed(e.to_string()))?;
+    }
+    if pos != payload.len() {
+        return Err(CodecError::Malformed(format!(
+            "{} trailing bytes",
+            payload.len() - pos
+        )));
+    }
     Ok(out)
 }
 
@@ -856,6 +857,67 @@ mod tests {
         assert!(decompress_blocks(&bad, 3, bs).is_err());
         // Wrong frame count is a typed error, not a panic.
         assert!(decompress_blocks(&payload, 2, bs).is_err());
+    }
+
+    #[test]
+    fn compressed_batch_geometry_is_checked_before_reserving() {
+        // A frame count the payload cannot hold (every frame carries a
+        // header) is rejected without reserving `count × block_size`.
+        let payload = compress_blocks(&[0u8; 4096], 4096);
+        assert!(matches!(
+            decompress_blocks(&payload, usize::MAX / 4096, 4096),
+            Err(CodecError::Malformed(_))
+        ));
+        assert!(decompress_blocks(&payload, payload.len() / lz::HEADER + 1, 4096).is_err());
+        // So is a batch decoding past MAX_FRAME, however few its frames.
+        assert!(decompress_blocks(&payload, 1, MAX_FRAME as usize + 1).is_err());
+        assert!(decompress_blocks(&payload, 1, usize::MAX).is_err());
+        // The honest geometry still decodes.
+        assert_eq!(
+            decompress_blocks(&payload, 1, 4096).expect("decodes"),
+            vec![0u8; 4096]
+        );
+    }
+
+    #[test]
+    fn decompress_blocks_on_arbitrary_bytes_never_panics_and_stays_bounded() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let valid = compress_blocks(&[7u8; 3 * 512], 512);
+        for case in 0..20_000u64 {
+            // Start from random bytes or a valid batch, then damage it.
+            let mut payload: Vec<u8> = if case % 2 == 0 {
+                (0..next() % 96).map(|_| next() as u8).collect()
+            } else {
+                valid.clone()
+            };
+            for _ in 0..next() % 4 {
+                if !payload.is_empty() {
+                    let at = (next() % payload.len() as u64) as usize;
+                    payload[at] = next() as u8;
+                }
+            }
+            let count = match case % 4 {
+                0 => (next() % 8) as usize,
+                1 => 3,
+                2 => next() as usize,
+                _ => (next() % 64) as usize,
+            };
+            let block_size = match case % 3 {
+                0 => 512,
+                1 => (next() % 5000) as usize,
+                _ => next() as usize,
+            };
+            if let Ok(out) = decompress_blocks(&payload, count, block_size) {
+                assert!(out.len() <= MAX_FRAME as usize, "case {case}");
+                assert!(out.len() <= count * block_size, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,12 @@ cargo build --release --workspace --locked
 echo "== tier-1: workspace tests =="
 cargo test -q --workspace --locked
 
+echo "== perfbench: benchmark self-tests =="
+# The benchmark is a cargo package of its own (perfbench/, own lockfile).
+# Its fidelity tests run traced live migrations over duplex and TCP and
+# check every image block-exact, so they guard the live data plane too.
+cargo test --manifest-path perfbench/Cargo.toml --offline --locked
+
 echo "== tier-1: benches compile =="
 # Bit-rot guard only: compiles every [[bench]] target (and bin deps)
 # without running them. Timing runs live in scripts/bench_baseline.sh.

@@ -4,10 +4,13 @@
 
 use block_bitmap_migration::des;
 use block_bitmap_migration::migrate::live::{
-    run_live_migration, run_live_migration_with, LiveConfig,
+    duplex_connector_pair, run_live_migration, run_live_migration_connected,
+    run_live_migration_with, Connector, LiveConfig, MigrationError,
 };
 use block_bitmap_migration::prelude::*;
+use block_bitmap_migration::vdisk::stamp_bytes;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn base_cfg() -> LiveConfig {
     LiveConfig {
@@ -141,6 +144,60 @@ fn live_im_roundtrip() {
     // guest wrote post-resume.
     let diffs = out.src_disk.disk().diff_blocks(out.dst_disk.disk());
     assert!(diffs.into_iter().all(|b| out.new_bitmap.get(b)));
+}
+
+/// A source connector that lingers in `abort`, holding the migration
+/// open after the destination protocol has finished while the guest
+/// keeps running (and writing) at the destination.
+struct LingeringSource<C>(C, Duration);
+
+impl<C: Connector> Connector for LingeringSource<C> {
+    type Link = C::Link;
+
+    fn connect(&mut self, attempt: u32) -> Result<Self::Link, MigrationError> {
+        self.0.connect(attempt)
+    }
+
+    fn abort(&self) {
+        std::thread::sleep(self.1);
+        self.0.abort();
+    }
+}
+
+#[test]
+fn destination_writes_after_completion_land_in_new_bitmap() {
+    // The new-write bitmap seeds the incremental migration back, so it
+    // must hold every destination guest write up to the moment the guest
+    // stops, not just those made while the protocol threads ran.
+    let cfg = base_cfg();
+    let disk = || {
+        Arc::new(TrackedDisk::new(Arc::new(VirtualDisk::dense(
+            cfg.block_size,
+            cfg.num_blocks,
+        ))))
+    };
+    let (src, dst) = (disk(), disk());
+    for b in 0..cfg.num_blocks {
+        src.disk()
+            .write_block(b, &stamp_bytes(b, 0, cfg.block_size));
+    }
+    let (src_conn, dst_conn) = duplex_connector_pair(FaultPlan::none(), None);
+    let src_conn = LingeringSource(src_conn, Duration::from_millis(200));
+    let out = run_live_migration_connected(&cfg, src, dst, None, src_conn, dst_conn)
+        .expect("migration completes");
+    assert_fully_consistent(&out);
+    let diffs = out.src_disk.disk().diff_blocks(out.dst_disk.disk());
+    assert!(!diffs.is_empty(), "the destination guest wrote blocks");
+    let untracked: Vec<usize> = diffs
+        .into_iter()
+        .filter(|&b| !out.new_bitmap.get(b))
+        .collect();
+    assert!(
+        untracked.is_empty(),
+        "{} destination writes missing from new_bitmap (first: {:?})",
+        untracked.len(),
+        untracked.first()
+    );
 }
 
 #[test]
