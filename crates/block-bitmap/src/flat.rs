@@ -179,6 +179,30 @@ impl FlatBitmap {
         None
     }
 
+    /// The first run of consecutive set bits at or after `from`, cut to at
+    /// most `max_len` bits, or `None` when no bit from `from` on is set.
+    ///
+    /// The run's end is found a word at a time (trailing zeros of the
+    /// inverted word), and the scan never looks past `start + max_len`, so
+    /// draining a fully set map in `max_len`-sized pieces stays linear.
+    pub fn next_run_from(&self, from: usize, max_len: usize) -> Option<Range<usize>> {
+        let start = self.next_set_from(from)?;
+        let limit = start.saturating_add(max_len).min(self.nbits);
+        let mut wi = start / BITS_PER_WORD;
+        let mut clear = !self.words[wi] & (u64::MAX << (start % BITS_PER_WORD));
+        loop {
+            if clear != 0 {
+                let end = wi * BITS_PER_WORD + clear.trailing_zeros() as usize;
+                return Some(start..end.min(limit));
+            }
+            wi += 1;
+            if wi * BITS_PER_WORD >= limit {
+                return Some(start..limit);
+            }
+            clear = !self.words[wi];
+        }
+    }
+
     /// Split `[0, nbits)` into `k` contiguous, word-aligned, non-overlapping
     /// ranges that together cover the whole bit space. Words are spread as
     /// evenly as possible (the first `words % k` shards get one extra), so
@@ -250,6 +274,7 @@ impl DirtyMap for FlatBitmap {
         self.nbits
     }
 
+    #[inline]
     fn set(&mut self, idx: usize) -> bool {
         self.check(idx);
         let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
@@ -258,6 +283,7 @@ impl DirtyMap for FlatBitmap {
         prev
     }
 
+    #[inline]
     fn clear(&mut self, idx: usize) -> bool {
         self.check(idx);
         let (w, b) = (idx / BITS_PER_WORD, idx % BITS_PER_WORD);
@@ -266,6 +292,7 @@ impl DirtyMap for FlatBitmap {
         prev
     }
 
+    #[inline]
     fn get(&self, idx: usize) -> bool {
         self.check(idx);
         self.words[idx / BITS_PER_WORD] & (1 << (idx % BITS_PER_WORD)) != 0
@@ -428,6 +455,36 @@ mod tests {
         assert_eq!(bm.next_set_from(65), Some(199));
         assert_eq!(bm.next_set_from(200), None);
         assert_eq!(FlatBitmap::new(0).next_set_from(0), None);
+    }
+
+    #[test]
+    fn next_run_from_matches_next_set_from() {
+        let mut bm = FlatBitmap::new(300);
+        for b in (5..9).chain(60..140).chain([200]).chain(250..300) {
+            bm.set(b);
+        }
+        assert_eq!(bm.next_run_from(0, usize::MAX), Some(5..9));
+        assert_eq!(bm.next_run_from(7, usize::MAX), Some(7..9));
+        assert_eq!(bm.next_run_from(9, usize::MAX), Some(60..140));
+        assert_eq!(bm.next_run_from(9, 4), Some(60..64));
+        assert_eq!(bm.next_run_from(9, 70), Some(60..130));
+        assert_eq!(bm.next_run_from(140, 1), Some(200..201));
+        assert_eq!(bm.next_run_from(201, usize::MAX), Some(250..300));
+        assert_eq!(bm.next_run_from(300, 1), None);
+        assert_eq!(FlatBitmap::new(0).next_run_from(0, 8), None);
+        // Draining in bounded pieces visits exactly the set bits, in order.
+        let full = FlatBitmap::all_set(1000);
+        for max in [1usize, 3, 64, 65, 999, 1000, 5000] {
+            for map in [&bm, &full] {
+                let (mut got, mut cur) = (Vec::new(), 0);
+                while let Some(r) = map.next_run_from(cur, max) {
+                    assert!(!r.is_empty() && r.len() <= max);
+                    cur = r.end;
+                    got.extend(r);
+                }
+                assert_eq!(got, map.to_indices());
+            }
+        }
     }
 
     #[test]

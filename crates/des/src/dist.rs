@@ -134,6 +134,7 @@ impl HotCold {
     }
 
     /// Draw a value.
+    #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         if rng.chance(self.hot_prob) {
             self.hot_start + rng.below(self.hot_size)

@@ -35,6 +35,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -48,6 +49,7 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         // 53 high bits -> [0,1) with full double precision.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -57,6 +59,7 @@ impl SimRng {
     ///
     /// # Panics
     /// Panics when `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Debiased multiply-shift.
@@ -89,6 +92,7 @@ impl SimRng {
     }
 
     /// Bernoulli trial with success probability `p`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }

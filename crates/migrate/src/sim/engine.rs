@@ -450,7 +450,7 @@ impl TpmEngine {
             bs as f64
         };
         // One cursor per stream, each walking its own word-aligned shard
-        // of the set (a lone stream walks the set directly, no copy).
+        // of the set (a lone stream walks the set itself, run by run).
         // Blocks drain round-robin across streams, so sharding decides
         // *which* block crosses next — the per-step quota `n`, the ledger
         // entries, and the guest stepping below never see the stream
@@ -495,28 +495,45 @@ impl TpmEngine {
                 n = remaining;
                 self.block_carry = 0.0;
             }
-            for _ in 0..n {
-                let (s, b) = loop {
-                    let s = rr % k;
-                    rr += 1;
-                    // A drained cursor parks at `set.len()` so the probe
-                    // skips it without re-scanning the map tail.
-                    if cursors[s] >= set.len() {
-                        continue;
+            if k == 1 {
+                // A lone stream's `n` blocks are the next `n` set bits in
+                // ascending order: copy them run by run, one slice copy
+                // per run.
+                let mut left = n as usize;
+                while left > 0 {
+                    let run = set
+                        .next_run_from(cursors[0], left)
+                        .expect("set must contain the blocks being counted");
+                    if !AS_REFS {
+                        self.dst_disk.copy_range_from(&self.src_disk, run.clone());
                     }
-                    let shard = if k > 1 { &shards[s] } else { set };
-                    if let Some(b) = shard.next_set_from(cursors[s]) {
-                        break (s, b);
-                    }
-                    // This shard is drained; `sent < total` guarantees
-                    // another stream still holds blocks.
-                    cursors[s] = set.len();
-                };
-                cursors[s] = b + 1;
-                if !AS_REFS {
-                    self.dst_disk.copy_block_from(&self.src_disk, b);
+                    left -= run.len();
+                    cursors[0] = run.end;
                 }
-                self.stream_blocks[s] += 1;
+                self.stream_blocks[0] += n;
+            } else {
+                for _ in 0..n {
+                    let (s, b) = loop {
+                        let s = rr % k;
+                        rr += 1;
+                        // A drained cursor parks at `set.len()` so the
+                        // probe skips it without re-scanning the map tail.
+                        if cursors[s] >= set.len() {
+                            continue;
+                        }
+                        if let Some(b) = shards[s].next_set_from(cursors[s]) {
+                            break (s, b);
+                        }
+                        // This shard is drained; `sent < total`
+                        // guarantees another stream still holds blocks.
+                        cursors[s] = set.len();
+                    };
+                    cursors[s] = b + 1;
+                    if !AS_REFS {
+                        self.dst_disk.copy_block_from(&self.src_disk, b);
+                    }
+                    self.stream_blocks[s] += 1;
+                }
             }
             if n > 0 {
                 if AS_REFS {

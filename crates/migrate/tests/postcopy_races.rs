@@ -5,7 +5,7 @@
 
 use block_bitmap::{DirtyMap, FlatBitmap};
 use des::{SimDuration, SimRng, SimTime};
-use migrate::sim::{run_postcopy, DirtyTracker, PostCopyConfig};
+use migrate::sim::{run_postcopy, DirtyTracker, PostCopyConfig, PostCopyOutcome};
 use migrate::BitmapKind;
 use simnet::proto::{Category, TransferLedger};
 use vdisk::MetaDisk;
@@ -52,6 +52,15 @@ fn run(
     trace: OpTrace,
     cfg: PostCopyConfig,
 ) -> (migrate::PostCopyStats, DirtyTracker, TransferLedger) {
+    let (out, new_bm, ledger) = run_outcome(setup, trace, cfg);
+    (out.stats, new_bm, ledger)
+}
+
+fn run_outcome(
+    setup: &mut Setup,
+    trace: OpTrace,
+    cfg: PostCopyConfig,
+) -> (PostCopyOutcome, DirtyTracker, TransferLedger) {
     let mut workload: Box<dyn Workload> = Box::new(TraceWorkload::new(trace, 1e6));
     let mut new_bm = DirtyTracker::new(BitmapKind::Flat, BLOCKS);
     let mut rng = SimRng::new(1);
@@ -72,7 +81,7 @@ fn run(
         &telemetry::Recorder::off(),
     );
     assert_eq!(out.residual_blocks, 0, "push must always converge");
-    (out.stats, new_bm, ledger)
+    (out, new_bm, ledger)
 }
 
 fn ms(v: u64) -> SimDuration {
@@ -214,3 +223,51 @@ fn pull_and_push_race_never_double_applies() {
         assert!(im.get(b), "block {b} diverged without a local write");
     }
 }
+
+// The source keeps a count of blocks still planned for push, so the
+// drain test need not scan its bitmap. A pull clears the source's bit
+// too; when that block was already handed to a push batch the bit is
+// clear and the count must not move, or the phase would end with a
+// block never sent. These two runs pin the end time and the counts a
+// full bitmap scan gives.
+
+#[test]
+fn pull_of_block_already_in_flight_keeps_the_drain_count() {
+    // Block 10 leaves in the first push (1 s to serialize); the guest
+    // reads it at 5 ms, while that push is still on the wire. The pull
+    // answer is dropped on arrival, and blocks 20 and 30 must still be
+    // pushed before the phase may end.
+    let mut s = setup(&[10, 20, 30]);
+    let mut trace = OpTrace::new();
+    trace.push(TimedOp::new(ms(5), OpKind::Read { block: 10 }));
+    let (out, _, _) = run_outcome(&mut s, trace, slow_cfg());
+    let st = &out.stats;
+    assert_eq!((st.pushed, st.pulled, st.dropped), (3, 0, 1));
+    assert_eq!(out.finished_at.as_nanos(), FINISH_IN_FLIGHT_PULL);
+    assert!(s.src.content_equals(&s.dst));
+}
+
+#[test]
+fn push_batch_that_wraps_the_cursor_keeps_the_drain_count() {
+    // Batches of four: the first takes 100..4000 and leaves the cursor
+    // at 4001. Before the second gather the guest pulls 4090 (still
+    // planned: counted off) and 200 (in flight: not counted; the pull
+    // lands first and the push copy is dropped). The second gather takes
+    // 4095, runs off the end of the map and wraps to find nothing left.
+    let mut s = setup(&[100, 200, 300, 4000, 4090, 4095]);
+    let mut cfg = slow_cfg();
+    cfg.push_batch = 4;
+    let mut trace = OpTrace::new();
+    trace.push(TimedOp::new(ms(5), OpKind::Read { block: 4090 }));
+    trace.push(TimedOp::new(ms(6), OpKind::Read { block: 200 }));
+    let (out, _, _) = run_outcome(&mut s, trace, cfg);
+    let st = &out.stats;
+    assert_eq!((st.pushed, st.pulled, st.dropped), (4, 2, 1));
+    assert_eq!(out.finished_at.as_nanos(), FINISH_WRAPPED_BATCH);
+    assert!(s.src.content_equals(&s.dst));
+}
+
+/// End of [`pull_of_block_already_in_flight_keeps_the_drain_count`].
+const FINISH_IN_FLIGHT_PULL: u64 = 3_001_000_000;
+/// End of [`push_batch_that_wraps_the_cursor_keeps_the_drain_count`].
+const FINISH_WRAPPED_BATCH: u64 = 5_001_000_000;

@@ -7,6 +7,8 @@
 //! generation. Consistency after a simulated migration reduces to
 //! generation-vector equality, checked block-by-block.
 
+use std::ops::Range;
+
 /// Per-block generation counters standing in for block contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaDisk {
@@ -35,6 +37,7 @@ impl MetaDisk {
     ///
     /// # Panics
     /// Panics when `block` is out of range.
+    #[inline]
     pub fn write(&mut self, block: usize) -> u32 {
         let g = self.next_gen;
         self.generations[block] = g;
@@ -63,6 +66,20 @@ impl MetaDisk {
             "disk geometries must match"
         );
         self.generations[block] = src.generations[block];
+    }
+
+    /// Copy the blocks in `range` from `src` in one slice copy: the
+    /// simulated transfer of a run of consecutive blocks.
+    ///
+    /// # Panics
+    /// Panics when geometries differ or `range` runs past the disk.
+    pub fn copy_range_from(&mut self, src: &MetaDisk, range: Range<usize>) {
+        assert_eq!(
+            self.num_blocks(),
+            src.num_blocks(),
+            "disk geometries must match"
+        );
+        self.generations[range.clone()].copy_from_slice(&src.generations[range]);
     }
 
     /// Total guest writes applied.
@@ -116,6 +133,29 @@ mod tests {
         assert_eq!(src.diff_blocks(&dst), vec![1]);
         dst.copy_block_from(&src, 1);
         assert!(src.content_equals(&dst));
+    }
+
+    #[test]
+    fn copy_range_matches_per_block_copies() {
+        let mut src = MetaDisk::new(16);
+        for b in [1usize, 4, 5, 6, 9, 15] {
+            src.write(b);
+        }
+        let mut by_block = MetaDisk::new(16);
+        let mut by_range = MetaDisk::new(16);
+        for b in 4..10 {
+            by_block.copy_block_from(&src, b);
+        }
+        by_range.copy_range_from(&src, 4..10);
+        assert!(by_range.content_equals(&by_block));
+        by_range.copy_range_from(&src, 7..7);
+        assert!(by_range.content_equals(&by_block));
+    }
+
+    #[test]
+    #[should_panic(expected = "geometries must match")]
+    fn copy_range_geometry_mismatch_panics() {
+        MetaDisk::new(4).copy_range_from(&MetaDisk::new(5), 0..2);
     }
 
     #[test]

@@ -58,6 +58,7 @@ impl GuestMemory {
     ///
     /// # Panics
     /// Panics when `page` is out of range.
+    #[inline]
     pub fn touch(&mut self, page: usize) {
         self.generations[page] = self.next_gen;
         self.next_gen += 1;
